@@ -10,14 +10,15 @@ import pytest
 
 from repro.core.builder import SystemKind, build_capybara_system, PlatformSpec
 from repro.device.board import Board
-from repro.device.mcu import MCU_MSP430FR5969
+from repro.apps import grc
+from repro.device.mcu import MCU_CC2650, MCU_MSP430FR5969
 from repro.device.radio import BLE_CC2650
-from repro.device.sensors import SENSOR_TMP36
+from repro.device.sensors import SENSOR_PHOTOTRANSISTOR, SENSOR_TMP36
 from repro.energy.bank import BankSpec, CapacitorBank
 from repro.energy.booster import OutputBooster
 from repro.energy.capacitor import CERAMIC_X5R, EDLC_CPH3225A, TANTALUM_POLYMER
 from repro.energy.harvester import RegulatedSupply
-from repro.kernel.annotations import ConfigAnnotation
+from repro.kernel.annotations import ConfigAnnotation, PreburstAnnotation
 from repro.kernel.executor import IntermittentExecutor, SensorReading
 from repro.kernel.tasks import Compute, Sample, Task, TaskGraph
 
@@ -92,3 +93,51 @@ def test_executor_cycle_throughput(benchmark):
 
     trace = benchmark(run_sixty_seconds)
     assert trace.counters.get("task_done:sense", 0) > 100
+
+
+def test_executor_poll_op_throughput(benchmark):
+    """The headline path's dominant operation: GRC's photo poll
+    (``Compute(4000)`` then ``Sample("phototransistor")``) on CB-P, one
+    discharge per operation, with no event ever in view."""
+
+    def build():
+        platform = grc.make_banks(grc.GRCVariant.FAST)
+        assembly = build_capybara_system(platform, SystemKind.CAPY_P)
+        board = Board(
+            MCU_CC2650,
+            assembly.power_system,
+            sensors=[SENSOR_PHOTOTRANSISTOR],
+            radio=BLE_CC2650,
+        )
+
+        def photo(ctx):
+            yield Compute(grc.POLL_OPS)
+            yield Sample("phototransistor")
+            return "photo"
+
+        graph = TaskGraph(
+            [
+                Task(
+                    "photo",
+                    photo,
+                    PreburstAnnotation(grc.MODE_BURST, grc.MODE_SMALL),
+                )
+            ],
+            entry="photo",
+        )
+        return IntermittentExecutor(
+            board,
+            graph,
+            assembly.runtime,
+            sensor_binding=lambda s, t: SensorReading(value=0.0),
+        )
+
+    def run_poll_loop():
+        # The first ~40 s charge both banks; the rest is ~8k poll tasks
+        # (~16k discharges) across ~100 charge cycles.
+        executor = build()
+        executor.run(180.0)
+        return executor.trace
+
+    trace = benchmark(run_poll_loop)
+    assert trace.counters.get("task_done:photo", 0) > 5000

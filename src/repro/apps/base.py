@@ -119,8 +119,9 @@ def make_binding(table: Dict[str, Callable[[float], object]]) -> SensorBinding:
     """Build a sensor binding from a {sensor name: time -> reading} map."""
 
     def binding(sensor: str, time: float):
-        if sensor not in table:
+        reader = table.get(sensor)
+        if reader is None:
             raise ConfigurationError(f"no rig binding for sensor {sensor!r}")
-        return table[sensor](time)
+        return reader(time)
 
     return binding

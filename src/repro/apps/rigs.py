@@ -16,6 +16,7 @@ schedule can be replayed against all four power systems.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -55,16 +56,28 @@ class ScheduledEvent:
 
 
 class EventSchedule:
-    """An ordered, non-overlapping sequence of scheduled events."""
+    """An ordered, non-overlapping sequence of scheduled events.
+
+    Point queries bisect over the start (and end) times: events are
+    sorted by start, durations are non-negative and windows never
+    overlap, so both sequences are non-decreasing.
+    """
 
     def __init__(self, events: Sequence[ScheduledEvent]) -> None:
         ordered = sorted(events, key=lambda event: event.start)
+        for event in ordered:
+            if not event.duration >= 0.0:
+                raise ConfigurationError(
+                    f"event {event.event_id} has negative duration {event.duration}"
+                )
         for earlier, later in zip(ordered, ordered[1:]):
             if later.start < earlier.end:
                 raise ConfigurationError(
                     f"events {earlier.event_id} and {later.event_id} overlap"
                 )
-        self.events: List[ScheduledEvent] = list(ordered)
+        self.events: Tuple[ScheduledEvent, ...] = tuple(ordered)
+        self._starts: List[float] = [event.start for event in ordered]
+        self._ends: List[float] = [event.end for event in ordered]
 
     @staticmethod
     def poisson(
@@ -106,20 +119,20 @@ class EventSchedule:
 
     def event_at(self, time: float) -> Optional[ScheduledEvent]:
         """The event whose stimulus window contains *time*, if any."""
-        for event in self.events:
-            if event.start <= time < event.end:
-                return event
-            if event.start > time:
-                break
+        # The last event starting at or before *time* is the only
+        # candidate: every earlier one ends by its start.
+        index = bisect_right(self._starts, time) - 1
+        if index >= 0 and time < self._ends[index]:
+            return self.events[index]
         return None
 
     def event_covering(self, begin: float, end: float) -> Optional[ScheduledEvent]:
         """The first event overlapping the interval [begin, end)."""
-        for event in self.events:
-            if event.start < end and begin < event.end:
-                return event
-            if event.start >= end:
-                break
+        # The first event ending after *begin* is the only candidate:
+        # every later one starts no earlier than it.
+        index = bisect_right(self._ends, begin)
+        if index < len(self.events) and self._starts[index] < end:
+            return self.events[index]
         return None
 
     @property
@@ -135,15 +148,18 @@ class EventSchedule:
         after the edge) track consumption themselves — see
         :meth:`repro.kernel.executor.IntermittentExecutor._perform_wait`.
         """
-        for event in self.events:
-            if event.start >= time:
-                return event.start
-        return None
+        index = bisect_left(self._starts, time)
+        return self._starts[index] if index < len(self._starts) else None
 
 
 # ---------------------------------------------------------------------------
 # Pendulum rig (GRC and CSR)
 # ---------------------------------------------------------------------------
+
+#: The phototransistor's reading between events (readings are frozen,
+#: so the poll loop can share one).
+_PHOTO_DARK = SensorReading(value=0.0, event_id=None)
+
 
 class PendulumRig:
     """Servo-swung pendulum over the gesture sensor (Figure 7).
@@ -196,7 +212,7 @@ class PendulumRig:
         """Phototransistor: object present above the board?"""
         event = self.schedule.event_at(time)
         if event is None:
-            return SensorReading(value=0.0, event_id=None)
+            return _PHOTO_DARK
         return SensorReading(value=1.0, event_id=event.event_id)
 
     def gesture_reading(self, time_done: float) -> SensorReading:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.errors import ConfigurationError, PowerSystemError
 from repro.energy.booster import InputBooster, OutputBooster
@@ -39,13 +39,25 @@ class ChargeResult:
     energy_stored: float
 
 
-@dataclass
+@dataclass(slots=True)
 class DischargeResult:
-    """Outcome of a :meth:`CapybaraPowerSystem.discharge` call."""
+    """Outcome of a :meth:`CapybaraPowerSystem.discharge` call.
+
+    ``voltage`` is the active set's terminal voltage when the call
+    returned (after leakage and latch top-up), read through the same
+    validated lookup as :meth:`ReconfigurableReservoir.active_voltage`.
+    """
 
     elapsed: float
     browned_out: bool
     energy_delivered: float
+    voltage: float = math.nan
+
+
+#: Bound on the discharge kernel's per-load memo; real workloads use a
+#: handful of (ESR, load) pairs, so reaching it means loads are being
+#: generated continuously and the memo restarts rather than grows.
+_LOAD_MEMO_LIMIT = 4096
 
 
 class CapybaraPowerSystem:
@@ -95,14 +107,38 @@ class CapybaraPowerSystem:
         #: potentiometer; ``None`` keeps the input booster's fixed
         #: regulation target.
         self.charge_target_source: Optional[Callable[[], float]] = None
+        # Per-operation constants of the discharge kernel, keyed on
+        # (active-set ESR, total load power): (discharge floor, booster
+        # input power).  Both are pure functions of the output booster,
+        # so the memo is dropped whenever the booster is replaced.
+        self._load_memo: Dict[Tuple[float, float], Tuple[float, float]] = {}
+        self._load_memo_booster: Optional[OutputBooster] = None
+        # (harvester, limiter, limited point) for time-invariant
+        # harvesters; see Harvester.time_invariant.
+        self._harvest_memo: Optional[tuple] = None
 
     # ------------------------------------------------------------------
     # Operating-point queries
     # ------------------------------------------------------------------
 
     def harvest_point(self, time: float) -> Tuple[float, float]:
-        """Limited ``(voltage, power)`` available from the harvester."""
-        voltage, power = self.harvester.output(time)
+        """Limited ``(voltage, power)`` available from the harvester.
+
+        A harvester that declares itself time-invariant is read once;
+        the limited point is reused until the harvester or limiter
+        object is replaced (fault injection wraps the harvester in a
+        time-varying one, which ends the memo).
+        """
+        harvester = self.harvester
+        if harvester.time_invariant:
+            memo = self._harvest_memo
+            if memo is not None and memo[0] is harvester and memo[1] is self.limiter:
+                return memo[2]
+            voltage, power = harvester.output(time)
+            point = self.limiter.limit(voltage, power)
+            self._harvest_memo = (harvester, self.limiter, point)
+            return point
+        voltage, power = harvester.output(time)
         return self.limiter.limit(voltage, power)
 
     def charge_power(self, time: float) -> float:
@@ -122,12 +158,16 @@ class CapybaraPowerSystem:
 
     def charge_target_voltage(self, time: float) -> float:
         """Voltage the charger will take the active set to, volts."""
+        return self._charge_target(self.reservoir.active_view(time))
+
+    def _charge_target(self, view) -> float:
+        """:meth:`charge_target_voltage` for an already-resolved view."""
         ceiling = (
             self.charge_target_source()
             if self.charge_target_source is not None
             else self.input_booster.v_charge_target
         )
-        return min(ceiling, self.reservoir.active_rated_voltage(time))
+        return min(ceiling, view.rated_voltage)
 
     def is_charged(self, time: float) -> bool:
         """Whether the active set has reached the charge target."""
@@ -290,11 +330,117 @@ class CapybaraPowerSystem:
         Harvesting during operation is orders of magnitude below the
         load (Section 2) but is still credited; dormant banks leak.
 
+        This is the executor's per-operation energy step, one kernel
+        from validation to the end-of-span bookkeeping.  Everything
+        that is constant for the operation is resolved once: the active
+        set (one validated lookup: the device is powered, so latches
+        hold, and reconfiguration happens only between tasks), the
+        discharge floor and booster input power (memoised per ESR and
+        load), and the harvester operating point.  The charge target is
+        read only if a segment has surplus harvest.  Leakage over the
+        whole span and the latch top-up follow the segment loop, and
+        the active set is looked up again at the span's end, which
+        resolves any latch reversion or fault edge due by then.
+
         Returns:
             :class:`DischargeResult`; ``browned_out`` means the active
             set hit the discharge floor before *duration* elapsed.
         """
-        result = self._discharge(time, load_power, duration, voltage_step_fraction)
+        if duration < 0.0:
+            raise PowerSystemError("duration must be non-negative")
+        if load_power < 0.0:
+            raise PowerSystemError("load_power must be non-negative")
+        quiescent = self.quiescent_power
+        total_power = load_power + quiescent
+        reservoir = self.reservoir
+        view = reservoir.active_view(time)
+        single = view.single
+        if single is None:
+            view.shared_voltage()  # asserts the equal-voltage invariant
+            first = view.banks[0]
+            extract = view.extract
+        else:
+            first = single
+            extract = single.extract
+        esr = view.esr
+        c_active = view.capacitance
+
+        booster = self.output_booster
+        memo = self._load_memo
+        if self._load_memo_booster is not booster:
+            memo.clear()
+            self._load_memo_booster = booster
+        constants = memo.get((esr, total_power))
+        if constants is None:
+            if len(memo) >= _LOAD_MEMO_LIMIT:
+                memo.clear()
+            constants = (
+                booster.min_bank_voltage(esr, total_power),
+                booster.input_power_for_load(total_power),
+            )
+            memo[(esr, total_power)] = constants
+        floor, p_in = constants
+        charge_power = self.input_booster.charge_power
+        hv, hp = self.harvest_point(time)
+        target = None
+
+        elapsed = 0.0
+        delivered = 0.0
+        browned = False
+        while elapsed < duration:
+            voltage = first.voltage
+            # Epsilon guards against floating-point non-progress when the
+            # voltage lands exactly on the floor.
+            if voltage <= floor + 1e-9:
+                browned = True
+                break
+            drain = booster.current_for_input(voltage, esr, p_in) * voltage
+            into_cap = charge_power(voltage, hv, hp)
+            harvest = into_cap - quiescent if into_cap > 0.0 else 0.0
+            # Conditional expressions below are max()/min() spelled out
+            # with the builtins' tie and NaN behaviour.
+            net_drain = drain - (harvest if harvest > 0.0 else 0.0)
+            if net_drain <= 0.0:
+                # Harvester outruns the load (bright light, tiny load):
+                # the device runs indefinitely and the surplus recharges
+                # the active set toward the charge target.
+                step = min(duration - elapsed, self.CHARGE_REEVALUATION_INTERVAL)
+                if target is None:
+                    target = self._charge_target(view)
+                if voltage < target:
+                    view.store(-net_drain * step)
+                delivered += load_power * step
+                elapsed += step
+                continue
+            dv = voltage * voltage_step_fraction
+            if dv < 1e-6:
+                dv = 1e-6
+            v_next = voltage - dv
+            if not v_next > floor:
+                v_next = floor
+            seg_energy = 0.5 * c_active * (voltage * voltage - v_next * v_next)
+            seg_time = seg_energy / net_drain
+            if elapsed + seg_time >= duration:
+                seg_time = duration - elapsed
+                seg_energy = net_drain * seg_time
+            extract(seg_energy)
+            delivered += load_power * seg_time
+            elapsed += seg_time
+
+        now = time + elapsed
+        if elapsed > 0.0:
+            # Leakage over the whole span (leak time constants dwarf any
+            # discharge), then the latch top-up.
+            reservoir.leak_all(elapsed, now)
+            reservoir.replenish_switches(now)
+        if not browned:
+            browned = first.voltage <= floor + 1e-9
+        end = reservoir.active_view(now)
+        end_voltage = (
+            end.single.voltage if end.single is not None else end.shared_voltage()
+        )
+        result = DischargeResult(elapsed, browned, delivered, end_voltage)
+
         telemetry = self.telemetry
         if telemetry.enabled:
             telemetry.inc("power.discharge_calls")
@@ -302,84 +448,13 @@ class CapybaraPowerSystem:
             if result.browned_out:
                 telemetry.inc("power.brownouts")
                 telemetry.event(
-                    time + result.elapsed,
+                    now,
                     "power",
                     "brownout",
                     load_w=load_power,
-                    voltage=self.reservoir.active_voltage(time + result.elapsed),
+                    voltage=end_voltage,
                 )
         return result
-
-    def _discharge(
-        self,
-        time: float,
-        load_power: float,
-        duration: float,
-        voltage_step_fraction: float,
-    ) -> DischargeResult:
-        if duration < 0.0:
-            raise PowerSystemError("duration must be non-negative")
-        if load_power < 0.0:
-            raise PowerSystemError("load_power must be non-negative")
-        total_power = load_power + self.quiescent_power
-        reservoir = self.reservoir
-        booster = self.output_booster
-        # Hoist the per-discharge constants: the active set cannot change
-        # mid-discharge (reconfiguration happens between tasks, and the
-        # device is powered so latches hold), and the harvester operating
-        # point is re-read per segment only through the efficiency ramp.
-        reservoir.active_voltage(time)  # asserts the equal-voltage invariant
-        view = reservoir.active_view(time)
-        banks = view.banks
-        esr = view.esr
-        c_active = view.capacitance
-        floor = booster.min_bank_voltage(esr, total_power)
-        target = self.charge_target_voltage(time)
-        hv, hp = self.harvest_point(time)
-        elapsed = 0.0
-        delivered = 0.0
-        while elapsed < duration:
-            now = time + elapsed
-            voltage = banks[0].voltage
-            # Epsilon guards against floating-point non-progress when the
-            # voltage lands exactly on the floor.
-            if voltage <= floor + 1e-9:
-                self._finish_discharge(elapsed, now)
-                return DischargeResult(elapsed, True, delivered)
-            drain = booster.drain_power(voltage, esr, total_power)
-            into_cap = self.input_booster.charge_power(voltage, hv, hp)
-            harvest = into_cap - self.quiescent_power if into_cap > 0.0 else 0.0
-            net_drain = drain - max(0.0, harvest)
-            if net_drain <= 0.0:
-                # Harvester outruns the load (bright light, tiny load):
-                # the device runs indefinitely and the surplus recharges
-                # the active set toward the charge target.
-                step = min(duration - elapsed, self.CHARGE_REEVALUATION_INTERVAL)
-                if voltage < target:
-                    view.store(-net_drain * step)
-                delivered += load_power * step
-                elapsed += step
-                continue
-            dv = max(voltage * voltage_step_fraction, 1e-6)
-            v_next = max(floor, voltage - dv)
-            seg_energy = 0.5 * c_active * (voltage * voltage - v_next * v_next)
-            seg_time = seg_energy / net_drain
-            if elapsed + seg_time >= duration:
-                seg_time = duration - elapsed
-                seg_energy = net_drain * seg_time
-            view.extract(seg_energy)
-            delivered += load_power * seg_time
-            elapsed += seg_time
-        self._finish_discharge(elapsed, time + elapsed)
-        browned = banks[0].voltage <= floor + 1e-9
-        return DischargeResult(elapsed, browned, delivered)
-
-    def _finish_discharge(self, elapsed: float, now: float) -> None:
-        """End-of-discharge bookkeeping: leakage over the whole span
-        (leak time constants dwarf any discharge) and latch top-up."""
-        if elapsed > 0.0:
-            self.reservoir.leak_all(elapsed, now)
-            self.reservoir.replenish_switches(now)
 
     def time_to_brownout_estimate(self, time: float, load_power: float) -> float:
         """Seconds the active set can sustain *load_power*, estimated at

@@ -10,7 +10,7 @@ intermittent executor drains from the reservoir.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.core.powersystem import CapybaraPowerSystem
@@ -39,6 +39,10 @@ class Board:
         power_system: the assembled power system.
         sensors: sensors and simple actuators by name.
         radio: the packet radio, if the board has one.
+
+    The load-point calculators memoise their results per argument, so
+    a board's parts are fixed once it is built (the part models are
+    frozen; build a new board to change them).
 
     Raises:
         ConfigurationError: if any component's minimum voltage exceeds
@@ -79,6 +83,12 @@ class Board:
                 f"MCU {mcu.name!r} needs {mcu.min_voltage} V but the rail "
                 f"is {rail} V"
             )
+        # An executor asks for the same few load points hundreds of
+        # thousands of times per run.
+        self._compute_loads: Dict[float, LoadPoint] = {}
+        self._sense_loads: Dict[Tuple[str, int], LoadPoint] = {}
+        self._transmit_loads: Dict[int, LoadPoint] = {}
+        self._sleep_loads: Dict[float, LoadPoint] = {}
 
     # ------------------------------------------------------------------
     # Load-point calculators
@@ -95,7 +105,11 @@ class Board:
 
     def compute_load(self, ops: float) -> LoadPoint:
         """ALU work of *ops* operations."""
-        return LoadPoint(self.mcu.compute_time(ops), self.mcu.active_power)
+        load = self._compute_loads.get(ops)
+        if load is None:
+            load = LoadPoint(self.mcu.compute_time(ops), self.mcu.active_power)
+            _remember(self._compute_loads, ops, load)
+        return load
 
     def sense_load(self, sensor_name: str, samples: int = 1) -> LoadPoint:
         """Acquire *samples* from a sensor (warm-up amortised per call).
@@ -103,9 +117,14 @@ class Board:
         Power is the sensor draw plus the MCU's sense-mode draw — the
         MCU waits on the peripheral rather than computing.
         """
-        sensor = self.sensor(sensor_name)
-        duration = sensor.acquisition_time(samples)
-        return LoadPoint(duration, sensor.active_power + self.mcu.sense_power)
+        key = (sensor_name, samples)
+        load = self._sense_loads.get(key)
+        if load is None:
+            sensor = self.sensor(sensor_name)
+            duration = sensor.acquisition_time(samples)
+            load = LoadPoint(duration, sensor.active_power + self.mcu.sense_power)
+            _remember(self._sense_loads, key, load)
+        return load
 
     def transmit_load(self, size_bytes: int) -> LoadPoint:
         """Transmit a packet of *size_bytes* (startup + airtime).
@@ -114,19 +133,27 @@ class Board:
         with the same total energy, which is what brownout accounting
         cares about.
         """
-        if self.radio is None:
-            raise ConfigurationError("board has no radio")
-        duration = self.radio.transmit_time(size_bytes)
-        energy = self.radio.transmit_energy(size_bytes) + (
-            self.mcu.sense_power * duration
-        )
-        return LoadPoint(duration, energy / duration)
+        load = self._transmit_loads.get(size_bytes)
+        if load is None:
+            if self.radio is None:
+                raise ConfigurationError("board has no radio")
+            duration = self.radio.transmit_time(size_bytes)
+            energy = self.radio.transmit_energy(size_bytes) + (
+                self.mcu.sense_power * duration
+            )
+            load = LoadPoint(duration, energy / duration)
+            _remember(self._transmit_loads, size_bytes, load)
+        return load
 
     def sleep_load(self, duration: float) -> LoadPoint:
         """Memory-retaining sleep for *duration* seconds."""
-        if duration < 0.0:
-            raise ConfigurationError("duration must be non-negative")
-        return LoadPoint(duration, self.mcu.sleep_power)
+        load = self._sleep_loads.get(duration)
+        if load is None:
+            if duration < 0.0:
+                raise ConfigurationError("duration must be non-negative")
+            load = LoadPoint(duration, self.mcu.sleep_power)
+            _remember(self._sleep_loads, duration, load)
+        return load
 
     # ------------------------------------------------------------------
     # Task energy accounting (provisioning input, Section 3)
@@ -152,3 +179,15 @@ class Board:
             ) * load.duration
             total += rail / booster.efficiency + overhead
         return total
+
+
+#: Entries per load-point memo; apps use a handful of distinct loads, so
+#: a calculator fed continuously varying arguments restarts its memo
+#: rather than growing without bound.
+_LOAD_MEMO_LIMIT = 1024
+
+
+def _remember(memo: dict, key, load: LoadPoint) -> None:
+    if len(memo) >= _LOAD_MEMO_LIMIT:
+        memo.clear()
+    memo[key] = load

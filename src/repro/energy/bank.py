@@ -152,6 +152,20 @@ class CapacitorBank:
         self._group_cycles: Dict[str, float] = {
             spec_.name: 0.0 for spec_, _ in spec.groups
         }
+        # Per-group wear constants, hoisted out of every store/extract:
+        # (part name, capacitance share, group energy at rated voltage)
+        # for the groups with finite endurance and a positive capacity.
+        # Parallel parts at a shared voltage split energy by capacitance.
+        self._wear_groups: Tuple[Tuple[str, float, float], ...] = tuple(
+            (
+                spec_.name,
+                spec_.effective_capacitance * count / spec.capacitance,
+                spec_.energy_at(spec_.rated_voltage) * count,
+            )
+            for spec_, count in spec.groups
+            if math.isfinite(spec_.cycle_endurance)
+            and spec_.energy_at(spec_.rated_voltage) * count > 0.0
+        )
 
     # ------------------------------------------------------------------
     # State
@@ -210,7 +224,8 @@ class CapacitorBank:
         headroom = self.spec.max_energy() - self.energy
         absorbed = min(energy, headroom)
         self._set_energy(self.energy + absorbed)
-        self._wear(absorbed)
+        if absorbed > 0.0:
+            self._wear(absorbed)
         return absorbed
 
     def extract(self, energy: float) -> float:
@@ -220,9 +235,16 @@ class CapacitorBank:
         """
         if energy < 0.0:
             raise PowerSystemError(f"cannot extract negative energy ({energy})")
-        delivered = min(energy, self.energy)
-        self._set_energy(self.energy - delivered)
-        self._wear(delivered)
+        half_c = self._half_c
+        voltage = self._voltage
+        stored = half_c * voltage * voltage
+        # min(energy, stored) and max(0.0, remaining), spelled out: the
+        # discharge kernel calls this once per segment.
+        delivered = stored if stored < energy else energy
+        remaining = stored - delivered
+        self._voltage = math.sqrt((remaining if remaining > 0.0 else 0.0) / half_c)
+        if delivered > 0.0:
+            self._wear(delivered)
         return delivered
 
     def leak(self, duration: float) -> float:
@@ -233,11 +255,14 @@ class CapacitorBank:
         """
         if duration < 0.0:
             raise PowerSystemError(f"duration must be non-negative, got {duration}")
-        if duration == 0.0 or self._voltage == 0.0:
+        voltage = self._voltage
+        if duration == 0.0 or voltage == 0.0:
             return 0.0
-        before = self.energy
-        self._voltage *= math.exp(-duration / self._leak_tau)
-        return before - self.energy
+        half_c = self._half_c
+        before = half_c * voltage * voltage
+        voltage *= math.exp(-duration / self._leak_tau)
+        self._voltage = voltage
+        return before - half_c * voltage * voltage
 
     # ------------------------------------------------------------------
     # Timing helpers (analytic integration in the energy domain)
@@ -285,16 +310,7 @@ class CapacitorBank:
         self._voltage = math.sqrt(energy / self._half_c)
 
     def _wear(self, energy_moved: float) -> None:
-        if energy_moved <= 0.0:
-            return
-        total_c = self.spec.capacitance
-        for spec, count in self.spec.groups:
-            if not math.isfinite(spec.cycle_endurance):
-                continue
-            # Parallel parts at a shared voltage split energy by capacitance.
-            share = spec.effective_capacitance * count / total_c
-            group_max = spec.energy_at(spec.rated_voltage) * count
-            if group_max > 0.0:
-                self._group_cycles[spec.name] += (
-                    0.5 * energy_moved * share / group_max
-                )
+        """Credit *energy_moved* (> 0) joules to every wearing group."""
+        cycles = self._group_cycles
+        for name, share, group_max in self._wear_groups:
+            cycles[name] += 0.5 * energy_moved * share / group_max

@@ -220,7 +220,14 @@ class OutputBooster:
         real solution exists (the bank cannot deliver that power through
         its ESR).
         """
-        p_in = self.input_power_for_load(load_power)
+        return self.current_for_input(
+            bank_voltage, esr, self.input_power_for_load(load_power)
+        )
+
+    def current_for_input(self, bank_voltage: float, esr: float, p_in: float) -> float:
+        """:meth:`bank_current` for a booster input power *p_in* already
+        resolved by :meth:`input_power_for_load` (the discharge kernel
+        resolves it once per operation, not once per segment)."""
         if p_in == 0.0:
             return 0.0
         if esr == 0.0:

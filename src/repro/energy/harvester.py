@@ -21,14 +21,25 @@ Three sources cover the paper's experiments:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Tuple
+from typing import ClassVar, Tuple
 
 from repro.errors import ConfigurationError
 from repro.energy.environment import FULL_SUN, ConstantTrace, EnvironmentTrace
 
 
 class Harvester:
-    """Interface: electrical output of an environmental energy source."""
+    """Interface: electrical output of an environmental energy source.
+
+    Attributes:
+        time_invariant: class-level declaration that :meth:`output` is a
+            constant of the (frozen) harvester's fields, independent of
+            time.  Power systems memoise the limited operating point of
+            such harvesters instead of re-reading it on every operation;
+            anything driven by a trace, a fault window or mutable state
+            keeps the default ``False``.
+    """
+
+    time_invariant: ClassVar[bool] = False
 
     def output(self, time: float) -> Tuple[float, float]:
         """Return ``(voltage, power)`` available at *time*.
@@ -47,12 +58,14 @@ class Harvester:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class RegulatedSupply(Harvester):
     """Bench supply behind an attenuating resistor (GRC/CSR rig).
 
     Supplies a constant voltage and at most *max_power* watts.
     """
+
+    time_invariant: ClassVar[bool] = True
 
     voltage: float = 3.0
     max_power: float = 10e-3
@@ -137,13 +150,15 @@ class SolarPanel(Harvester):
         }
 
 
-@dataclass
+@dataclass(frozen=True)
 class RFHarvester(Harvester):
     """Far-field RF harvesting (Powercast-class receiver).
 
     Power falls with distance squared from the transmitter; output
     voltage is low, exercising the input booster's weak-input path.
     """
+
+    time_invariant: ClassVar[bool] = True
 
     transmit_power: float = 3.0
     distance: float = 3.0

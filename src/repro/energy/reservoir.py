@@ -69,14 +69,16 @@ class ReconfigurableReservoir:
         # that hot path.
         self._switch_seq: Tuple[BankSwitch, ...] = ()
         self._order: List[str] = []
+        # Banks in registration order, for the per-operation leak pass.
+        self._bank_seq: Tuple[CapacitorBank, ...] = ()
         #: The paper's Section 6.4 limitation: a deactivated bank can be
         #: pre-charged only to ~0.3 V below the normal charge target.
         self.precharge_voltage_penalty = precharge_voltage_penalty
         self._reconfigurations = 0
-        # Active-set cache: (valid_from, valid_until, switch_version_sum,
-        # names, banks, capacitance, esr).  Hot paths query the active
-        # set hundreds of thousands of times between reconfigurations.
-        self._active_cache: Optional[tuple] = None
+        # Active-set cache: an ActiveSetView stamped with its validity
+        # window and switch version sum.  Hot paths query the active set
+        # hundreds of thousands of times between reconfigurations.
+        self._active_cache: Optional[ActiveSetView] = None
         # Optional fault injector (repro.faults): switch stuck-at
         # overrides, ESR/leakage multipliers, and the fault-window
         # boundaries that bound the active-set cache's validity.
@@ -108,6 +110,7 @@ class ReconfigurableReservoir:
             self._switches[spec.name] = switch
             self._switch_seq = tuple(self._switches.values())
         self._order.append(spec.name)
+        self._bank_seq = tuple(self._banks[name] for name in self._order)
         self._active_cache = None
         return bank
 
@@ -151,18 +154,23 @@ class ReconfigurableReservoir:
             raise BankConfigurationError(f"bank {name!r} has no switch")
         return self._switches[name]
 
-    def _active_entry(self, time: float) -> tuple:
-        """The cached active-set tuple for *time* (rebuilds if stale).
+    def _active_entry(self, time: float) -> "ActiveSetView":
+        """The cached active set for *time* (rebuilds if stale).
 
         A cache entry stays valid from its build time until the first
         possible latch reversion among switches holding a non-default
-        state; switch ``version`` counters catch direct state changes.
+        state (or the next fault-window edge); switch ``version``
+        counters catch direct state changes.
         """
         versions = 0
         for switch in self._switch_seq:
             versions += switch.version
         cache = self._active_cache
-        if cache is not None and cache[2] == versions and cache[0] <= time < cache[1]:
+        if (
+            cache is not None
+            and cache.versions == versions
+            and cache.valid_from <= time < cache.valid_until
+        ):
             return cache
         injector = self._fault_injector
         overrides = (
@@ -198,7 +206,10 @@ class ReconfigurableReservoir:
             # and the faulted ESR is what every consumer should see.
             boundary = min(boundary, injector.next_transition(time))
             esr *= injector.esr_multiplier(time)
-        entry = (time, boundary, versions, names, banks, capacitance, esr)
+        entry = ActiveSetView(banks, capacitance, esr)
+        entry.valid_from = time
+        entry.valid_until = boundary
+        entry.versions = versions
         self._active_cache = entry
         if injector is not None and len(banks) > 1:
             # A bank rejoining the set at a fault edge (stuck window
@@ -212,21 +223,21 @@ class ReconfigurableReservoir:
 
     def active_names(self, time: float) -> List[str]:
         """Banks currently connected, honouring latch reversion."""
-        return list(self._active_entry(time)[3])
+        return list(self._active_entry(time).names)
 
     def active_banks(self, time: float) -> List[CapacitorBank]:
-        return self._active_entry(time)[4]
+        return self._active_entry(time).banks
 
     def active_capacitance(self, time: float) -> float:
         """Total capacitance of the active set, farads."""
-        return self._active_entry(time)[5]
+        return self._active_entry(time).capacitance
 
     def active_esr(self, time: float) -> float:
         """Combined ESR of the active set, ohms."""
         entry = self._active_entry(time)
-        if not entry[4]:
+        if not entry.banks:
             raise PowerSystemError("no banks are active")
-        return entry[6]
+        return entry.esr
 
     def active_voltage(self, time: float) -> float:
         """Shared terminal voltage of the active set, volts.
@@ -234,17 +245,7 @@ class ReconfigurableReservoir:
         Active banks are always equalized after reconfiguration, so they
         agree; this asserts that invariant.
         """
-        banks = self.active_banks(time)
-        if not banks:
-            raise PowerSystemError("no banks are active")
-        voltage = banks[0].voltage
-        for bank in banks[1:]:
-            if abs(bank.voltage - voltage) > 1e-6:
-                raise PowerSystemError(
-                    "active banks diverged in voltage; reconfiguration "
-                    "must equalize them"
-                )
-        return voltage
+        return self.active_view(time).shared_voltage()
 
     def active_energy(self, time: float) -> float:
         """Stored energy of the active set, joules."""
@@ -252,10 +253,7 @@ class ReconfigurableReservoir:
 
     def active_rated_voltage(self, time: float) -> float:
         """Rated (minimum over active banks) voltage of the active set."""
-        banks = self.active_banks(time)
-        if not banks:
-            raise PowerSystemError("no banks are active")
-        return min(bank.spec.rated_voltage for bank in banks)
+        return self.active_view(time).rated_voltage
 
     def total_volume(self) -> float:
         """Capacitor volume across all banks, m^3."""
@@ -340,7 +338,10 @@ class ReconfigurableReservoir:
         capacitors at unequal voltages lose ``dE`` as heat through the
         interconnect when joined; the model conserves charge, not energy.
         """
-        banks = self.active_banks(time)
+        return self._equalize(self._active_entry(time).banks)
+
+    @staticmethod
+    def _equalize(banks: List[CapacitorBank]) -> float:
         if len(banks) <= 1:
             return 0.0
         total_charge = sum(bank.capacitance * bank.voltage for bank in banks)
@@ -368,7 +369,7 @@ class ReconfigurableReservoir:
         rated voltage across the active set, keeping voltages equal).
         """
         entry = self._active_entry(time)
-        banks, total_c = entry[4], entry[5]
+        banks, total_c = entry.banks, entry.capacitance
         if not banks:
             raise PowerSystemError("no banks are active")
         if len(banks) == 1:
@@ -391,7 +392,7 @@ class ReconfigurableReservoir:
         Returns the energy actually delivered.
         """
         entry = self._active_entry(time)
-        banks, total_c = entry[4], entry[5]
+        banks, total_c = entry.banks, entry.capacitance
         if not banks:
             raise PowerSystemError("no banks are active")
         if len(banks) == 1:
@@ -417,31 +418,38 @@ class ReconfigurableReservoir:
             # same RC decay over a stretched duration is exactly a
             # proportionally lower leak resistance for the window.
             duration = duration * self._fault_injector.leak_multiplier(time)
-        lost = sum(bank.leak(duration) for bank in self._banks.values())
+        lost = sum([bank.leak(duration) for bank in self._bank_seq])
         # Leakage can nudge active-bank voltages apart (different leak
         # resistances); re-equalize to preserve the shared-voltage
-        # invariant.  The redistribution loss here is second-order.
-        lost += self.equalize_active(time)
+        # invariant.  The redistribution loss here is second-order.  The
+        # active set is looked up (and revalidated) at *time* even when
+        # it holds one bank: a latch reversion due by then must resolve
+        # here, exactly as it would in equalize_active.
+        banks = self._active_entry(time).banks
+        lost += self._equalize(banks) if len(banks) > 1 else 0.0
         if self.telemetry.enabled:
             self.telemetry.inc("reservoir.leak_j", lost)
         return lost
 
     def active_view(self, time: float) -> "ActiveSetView":
-        """A hoisted handle on the active set for hot integration loops.
+        """The active set at *time* as one handle, for hot integration
+        loops.
 
-        The view captures the active banks, capacitance, and ESR once
-        and then moves energy without re-validating the switch state on
-        every call.  It is only sound while the active set cannot change
-        — e.g. within one :meth:`CapybaraPowerSystem.discharge` segment
-        loop, where the device is powered (latches are held) and
-        reconfiguration happens only between tasks.  The arithmetic is
-        identical to :meth:`store`/:meth:`extract`, so results are
-        bit-for-bit the same.
+        The view carries the active banks, capacitance, ESR and rated
+        voltage and moves energy without re-validating the switch state
+        on every call.  It is the reservoir's own cache entry, so asking
+        for it costs one validity check and no allocation; it stays
+        sound while the active set cannot change — e.g. within one
+        :meth:`CapybaraPowerSystem.discharge` segment loop, where the
+        device is powered (latches are held) and reconfiguration happens
+        only between tasks.  The arithmetic is identical to
+        :meth:`store`/:meth:`extract`, so results are bit-for-bit the
+        same.
         """
         entry = self._active_entry(time)
-        if not entry[4]:
+        if not entry.banks:
             raise PowerSystemError("no banks are active")
-        return ActiveSetView(entry[4], entry[5], entry[6])
+        return entry
 
     def snapshot(self) -> Dict[str, Tuple[float, bool]]:
         """Voltage and switch presence per bank (debug/trace helper)."""
@@ -459,9 +467,23 @@ class ActiveSetView:
     extract.  All mutations go through the underlying
     :class:`CapacitorBank` objects, so the reservoir observes every
     joule moved through a view.
+
+    The reservoir's cache stamps each view with ``names`` (active bank
+    names), the validity window ``[valid_from, valid_until)`` and the
+    switch ``versions`` sum it was built under.
     """
 
-    __slots__ = ("banks", "capacitance", "esr", "_single")
+    __slots__ = (
+        "banks",
+        "capacitance",
+        "esr",
+        "rated_voltage",
+        "single",
+        "names",
+        "valid_from",
+        "valid_until",
+        "versions",
+    )
 
     def __init__(
         self, banks: List[CapacitorBank], capacitance: float, esr: float
@@ -469,16 +491,37 @@ class ActiveSetView:
         self.banks = banks
         self.capacitance = capacitance
         self.esr = esr
-        self._single = banks[0] if len(banks) == 1 else None
+        #: Lowest rated voltage over the set (the charge ceiling).
+        self.rated_voltage = (
+            min(bank.spec.rated_voltage for bank in banks) if banks else math.nan
+        )
+        #: The bank itself when the set holds exactly one, else None.
+        self.single = banks[0] if len(banks) == 1 else None
+        self.names = [bank.name for bank in banks]
+        self.valid_from = -math.inf
+        self.valid_until = math.inf
+        self.versions = 0
 
     @property
     def voltage(self) -> float:
         """Shared terminal voltage of the captured active set, volts."""
         return self.banks[0].voltage
 
+    def shared_voltage(self) -> float:
+        """Terminal voltage, asserting the equal-voltage invariant."""
+        banks = self.banks
+        voltage = banks[0].voltage
+        for bank in banks[1:]:
+            if abs(bank.voltage - voltage) > 1e-6:
+                raise PowerSystemError(
+                    "active banks diverged in voltage; reconfiguration "
+                    "must equalize them"
+                )
+        return voltage
+
     def store(self, energy: float) -> float:
         """Add *energy* joules; same semantics as ``Reservoir.store``."""
-        single = self._single
+        single = self.single
         if single is not None:
             return single.store(energy)
         banks, total_c = self.banks, self.capacitance
@@ -494,7 +537,7 @@ class ActiveSetView:
 
     def extract(self, energy: float) -> float:
         """Remove *energy* joules; same semantics as ``Reservoir.extract``."""
-        single = self._single
+        single = self.single
         if single is not None:
             return single.extract(energy)
         banks, total_c = self.banks, self.capacitance

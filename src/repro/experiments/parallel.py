@@ -41,8 +41,19 @@ import pickle
 import threading as _threading
 import time as _time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
 
 from repro.apps.base import AppInstance
 from repro.core.builder import SystemKind
@@ -57,16 +68,42 @@ T = TypeVar("T")
 #: Environment variable forcing the worker count (1 disables the pool).
 JOBS_ENV = "REPRO_JOBS"
 
+#: The active in-process worker budget (see :func:`worker_budget`).
+_budget: Optional[int] = None
+
 
 def default_jobs() -> int:
-    """Worker count: ``REPRO_JOBS`` if set, else the CPU count."""
+    """Worker count: ``REPRO_JOBS`` if set, else the CPU count, capped
+    by the active :func:`worker_budget`."""
+    jobs = os.cpu_count() or 1
     override = os.environ.get(JOBS_ENV)
     if override:
         try:
-            return max(1, int(override))
+            jobs = max(1, int(override))
         except ValueError:
             pass
-    return os.cpu_count() or 1
+    return jobs if _budget is None else min(jobs, _budget)
+
+
+@contextmanager
+def worker_budget(jobs: int) -> Iterator[None]:
+    """Cap :func:`default_jobs` at *jobs* inside the block.
+
+    The budget is process-wide and nests (an inner budget can only
+    lower the cap).  ``run_all.main(jobs=1)`` runs its experiments under
+    ``worker_budget(1)``, so the fan-out inside an experiment
+    (:func:`run_campaign_parallel`, :func:`parallel_map` with
+    ``jobs=None``) stays in-process too: ``--jobs 1`` means serial.
+    """
+    global _budget
+    if jobs < 1:
+        raise ConfigurationError(f"worker budget must be >= 1, got {jobs}")
+    previous = _budget
+    _budget = jobs if previous is None else min(previous, jobs)
+    try:
+        yield
+    finally:
+        _budget = previous
 
 
 def _picklable(*objects: Any) -> bool:

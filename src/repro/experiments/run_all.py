@@ -54,6 +54,7 @@ Run: ``python -m repro.experiments.run_all [--scale S] [--seed N]
 from __future__ import annotations
 
 import argparse
+import contextlib
 import time
 import warnings
 from pathlib import Path
@@ -76,6 +77,7 @@ from repro.experiments.parallel import (
     TaskError,
     WorkerPool,
     default_jobs,
+    worker_budget,
 )
 from repro.faults import build_injector, fault_schedule_hash, load_fault_schedule
 from repro.experiments.registry import Experiment, get_experiment
@@ -360,23 +362,27 @@ def main(
                 store.save(state)
 
         pool = WorkerPool(jobs=jobs)
+        # A serial suite keeps each experiment's inner fan-out
+        # in-process as well: --jobs 1 means no process pool at all.
+        budget = worker_budget(1) if jobs == 1 else contextlib.nullcontext()
         try:
-            results = run_dag(
-                dag,
-                _run_job,
-                {
-                    job.job_id: (job.job_id, seed, scale, collect, backend)
-                    for job in pending
-                },
-                pool=pool,
-                retry=retry,
-                chaos=chaos,
-                on_error=on_error,
-                telemetry=suite,
-                report=report,
-                on_complete=_checkpoint,
-                completed=[job_id for job_id in sources],
-            )
+            with budget:
+                results = run_dag(
+                    dag,
+                    _run_job,
+                    {
+                        job.job_id: (job.job_id, seed, scale, collect, backend)
+                        for job in pending
+                    },
+                    pool=pool,
+                    retry=retry,
+                    chaos=chaos,
+                    on_error=on_error,
+                    telemetry=suite,
+                    report=report,
+                    on_complete=_checkpoint,
+                    completed=[job_id for job_id in sources],
+                )
         finally:
             pool.shutdown()
         for job in pending:

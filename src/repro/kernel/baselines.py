@@ -21,24 +21,21 @@ import numpy as np
 
 from repro.errors import TaskGraphError
 from repro.device.board import Board
-from repro.kernel.executor import SensorBinding, _default_binding
-from repro.kernel.memory import NonVolatileStore
-from repro.kernel.tasks import (
-    Compute,
-    Sample,
-    Sleep,
-    TaskContext,
-    TaskGraph,
-    Transmit,
-    WaitForInterrupt,
+from repro.kernel.executor import (
+    _DONE,
+    OperationHandlers,
+    SensorBinding,
+    _default_binding,
 )
+from repro.kernel.memory import NonVolatileStore
+from repro.kernel.tasks import TaskContext, TaskGraph, WaitForInterrupt
 from repro.observability.telemetry import Telemetry, resolve_telemetry
 from repro.sim.trace import Trace
 
 _TIME_EPSILON = 1e-9
 
 
-class ContinuousExecutor:
+class ContinuousExecutor(OperationHandlers):
     """Run a task graph on continuous power (the "Pwr" baseline).
 
     Operations take their real durations (so latency comparisons are
@@ -67,6 +64,7 @@ class ContinuousExecutor:
         self.now = 0.0
         self.energy_consumed = 0.0
         self._irq_consumed = {}
+        self._init_handlers()
 
     def run(self, horizon: float) -> Trace:
         """Run until simulation time *horizon*; returns the trace."""
@@ -76,6 +74,8 @@ class ContinuousExecutor:
             )
         self.trace.record_state(self.now, "running", "continuous power")
         task_name = self.graph.entry
+        handlers = self._handlers
+        done_counters = {}
         while self.now < horizon - _TIME_EPSILON:
             task = self.graph.task(task_name)
             context = TaskContext(self.nv, lambda: self.now)
@@ -96,90 +96,59 @@ class ContinuousExecutor:
                             f"task {next_name!r}"
                         )
                     self.nv.commit()
-                    self.trace.bump(f"task_done:{task.name}")
+                    counter = done_counters.get(task.name)
+                    if counter is None:
+                        counter = done_counters[task.name] = f"task_done:{task.name}"
+                    self.trace.bump(counter)
                     if self.telemetry.enabled:
                         self.telemetry.inc("kernel.tasks_completed")
                         self.telemetry.inc(f"kernel.tasks_completed.{task.name}")
                     task_name = next_name
                     break
-                to_send = self._perform(operation, horizon)
+                handler = handlers.get(type(operation))
+                if handler is None:
+                    to_send = self._perform(operation, horizon)
+                else:
+                    to_send = handler(operation, horizon)
             if not completed:
                 self.nv.abort()
         return self.trace
 
     # ------------------------------------------------------------------
 
-    def _perform(self, operation, horizon: float):
-        if isinstance(operation, Compute):
-            load = self.board.compute_load(operation.ops)
-            self._advance(load.duration, load.power, horizon)
-            return None
-        if isinstance(operation, Sample):
-            load = self.board.sense_load(operation.sensor, operation.samples)
-            self._advance(load.duration, load.power, horizon)
-            reading = self.sensor_binding(operation.sensor, self.now)
-            self.trace.record_sample(
-                self.now, operation.sensor, reading.value, reading.event_id
+    def _perform_wait(self, operation: WaitForInterrupt, horizon: float):
+        # Latched edge-triggered semantics, mirroring the intermittent
+        # executor (each edge wakes exactly one wait).
+        consumed = self._irq_consumed.get(operation.line, float("-inf"))
+        edge = None
+        if self.interrupt_source is not None:
+            query_from = consumed + 1e-9 if consumed != float("-inf") else 0.0
+            edge = self.interrupt_source(operation.line, query_from)
+        deadline = (
+            self.now + operation.timeout
+            if operation.timeout is not None
+            else float("inf")
+        )
+        until = min(edge if edge is not None else float("inf"), deadline)
+        if until == float("inf"):
+            raise TaskGraphError(
+                f"WaitForInterrupt({operation.line!r}) would sleep "
+                "forever: no interrupt edge remains and no timeout "
+                "was given"
             )
-            return reading
-        if isinstance(operation, Transmit):
-            load = self.board.transmit_load(operation.size_bytes)
-            self._advance(load.duration, load.power, horizon)
-            delivered = True
-            radio = self.board.radio
-            if radio is not None and radio.loss_rate > 0.0:
-                delivered = self.rng.random() >= radio.loss_rate
-            if delivered:
-                self.trace.record_packet(
-                    self.now,
-                    operation.payload,
-                    operation.size_bytes,
-                    operation.event_id,
-                )
-            else:
-                self.trace.bump("packets_lost_rf")
-            return delivered
-        if isinstance(operation, Sleep):
-            load = self.board.sleep_load(operation.duration)
-            self._advance(load.duration, load.power, horizon)
-            return None
-        if isinstance(operation, WaitForInterrupt):
-            # Latched edge-triggered semantics, mirroring the
-            # intermittent executor (each edge wakes exactly one wait).
-            consumed = self._irq_consumed.get(operation.line, float("-inf"))
-            edge = None
-            if self.interrupt_source is not None:
-                query_from = (
-                    consumed + 1e-9 if consumed != float("-inf") else 0.0
-                )
-                edge = self.interrupt_source(operation.line, query_from)
-            deadline = (
-                self.now + operation.timeout
-                if operation.timeout is not None
-                else float("inf")
-            )
-            until = min(edge if edge is not None else float("inf"), deadline)
-            if until == float("inf"):
-                raise TaskGraphError(
-                    f"WaitForInterrupt({operation.line!r}) would sleep "
-                    "forever: no interrupt edge remains and no timeout "
-                    "was given"
-                )
-            self._advance(
-                max(0.0, until - self.now),
-                self.board.mcu.sleep_power + operation.sentinel_power,
-                horizon,
-            )
-            if edge is not None and edge <= until + 1e-12:
-                self._irq_consumed[operation.line] = edge
-            reading = self.sensor_binding(operation.line, self.now)
-            self.trace.record_sample(
-                self.now, operation.line, reading.value, reading.event_id
-            )
-            return reading
-        raise TaskGraphError(f"task yielded unknown operation {operation!r}")
+        self._run_load(
+            max(0.0, until - self.now),
+            self.board.mcu.sleep_power + operation.sentinel_power,
+            horizon,
+        )
+        if edge is not None and edge <= until + 1e-12:
+            self._irq_consumed[operation.line] = edge
+        return self._read(operation.line)
 
-    def _advance(self, duration: float, power: float, horizon: float) -> None:
+    def _run_load(self, duration: float, power: float, horizon: float):
+        """Advance the clock through a load (clipped at *horizon*) and
+        tally its energy; on continuous power every load completes."""
         step = min(duration, max(0.0, horizon - self.now))
         self.now += step
         self.energy_consumed += power * step
+        return _DONE

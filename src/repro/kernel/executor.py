@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
 from repro.errors import ProvisioningError, TaskGraphError
-from repro.device.board import Board, LoadPoint
+from repro.device.board import Board
 from repro.kernel.capybara import CapybaraRuntime, Charge, Reconfigure
 from repro.kernel.memory import VolatileStore
 from repro.kernel.tasks import (
@@ -85,7 +85,89 @@ def _default_binding(sensor: str, time: float) -> SensorReading:
     return SensorReading(value=0.0, event_id=None)
 
 
-class IntermittentExecutor:
+class OperationHandlers:
+    """Operation dispatch shared by :class:`IntermittentExecutor` and the
+    continuous-power baseline.
+
+    A subclass supplies ``_run_load(duration, power, horizon)``, its
+    energy step (returning :data:`_DONE`, :data:`_POWER_FAILED` or
+    :data:`_HORIZON`), and ``_perform_wait``.  The task loop dispatches
+    each yielded operation with one lookup in the type-keyed handler
+    table built by :meth:`_init_handlers`.
+    """
+
+    def _init_handlers(self) -> None:
+        #: Operation type -> bound handler (see :meth:`_perform`).
+        self._handlers = {
+            Compute: self._perform_compute,
+            Sample: self._perform_sample,
+            Transmit: self._perform_transmit,
+            Sleep: self._perform_sleep,
+            WaitForInterrupt: self._perform_wait,
+        }
+
+    def _perform(self, operation, horizon: float):
+        """Execute one yielded operation; returns the value to send back
+        into the task generator, or the :data:`_POWER_FAILED` /
+        :data:`_HORIZON` sentinels.
+
+        Dispatch is by exact type through ``_handlers``; a subclass of
+        an operation type resolves to its nearest registered base.
+        """
+        for cls in type(operation).__mro__:
+            handler = self._handlers.get(cls)
+            if handler is not None:
+                return handler(operation, horizon)
+        raise TaskGraphError(f"task yielded unknown operation {operation!r}")
+
+    def _perform_compute(self, operation: Compute, horizon: float):
+        load = self.board.compute_load(operation.ops)
+        outcome = self._run_load(load.duration, load.power, horizon)
+        return None if outcome is _DONE else outcome
+
+    def _perform_sample(self, operation: Sample, horizon: float):
+        load = self.board.sense_load(operation.sensor, operation.samples)
+        outcome = self._run_load(load.duration, load.power, horizon)
+        if outcome is not _DONE:
+            return outcome
+        return self._read(operation.sensor)
+
+    def _perform_transmit(self, operation: Transmit, horizon: float):
+        load = self.board.transmit_load(operation.size_bytes)
+        outcome = self._run_load(load.duration, load.power, horizon)
+        if outcome is _POWER_FAILED:
+            self.trace.bump("tx_failures")
+            return outcome
+        if outcome is _HORIZON:
+            return outcome
+        delivered = True
+        radio = self.board.radio
+        if radio is not None and radio.loss_rate > 0.0:
+            delivered = self.rng.random() >= radio.loss_rate
+        if delivered:
+            self.trace.record_packet(
+                self.now,
+                operation.payload,
+                operation.size_bytes,
+                operation.event_id,
+            )
+        else:
+            self.trace.bump("packets_lost_rf")
+        return delivered
+
+    def _perform_sleep(self, operation: Sleep, horizon: float):
+        load = self.board.sleep_load(operation.duration)
+        outcome = self._run_load(load.duration, load.power, horizon)
+        return None if outcome is _DONE else outcome
+
+    def _read(self, sensor: str) -> SensorReading:
+        """Resolve and trace a reading of *sensor* at ``now``."""
+        reading = self.sensor_binding(sensor, self.now)
+        self.trace.record_sample(self.now, sensor, reading.value, reading.event_id)
+        return reading
+
+
+class IntermittentExecutor(OperationHandlers):
     """Charge / boot / run / power-fail loop for one board.
 
     Args:
@@ -131,6 +213,9 @@ class IntermittentExecutor:
         #: Minimum spacing of voltage trace records, seconds.  Keeps the
         #: trace at plot resolution instead of one record per operation.
         self.voltage_record_interval = 0.02
+        self._init_handlers()
+        #: Task name -> its ``task_done:<name>`` trace counter.
+        self._done_counters: Dict[str, str] = {}
 
     # ------------------------------------------------------------------
     # Public interface
@@ -173,7 +258,8 @@ class IntermittentExecutor:
     def _boot(self, horizon: float) -> bool:
         """Boot the device; returns True if it came up."""
         self._record_state(DeviceState.BOOTING)
-        outcome = self._run_load(self.board.boot_load(), horizon)
+        boot = self.board.boot_load()
+        outcome = self._run_load(boot.duration, boot.power, horizon)
         if outcome is _HORIZON:
             return False
         if outcome is _POWER_FAILED:
@@ -257,6 +343,7 @@ class IntermittentExecutor:
         """
         context = TaskContext(self.nv, lambda: self.now)
         generator = task.body(context)
+        handlers = self._handlers
         to_send = None
         while True:
             if self.now >= horizon - _TIME_EPSILON:
@@ -266,7 +353,11 @@ class IntermittentExecutor:
                 operation = generator.send(to_send)
             except StopIteration as stop:
                 return self._complete_task(task, stop.value)
-            to_send = self._perform(operation, horizon)
+            handler = handlers.get(type(operation))
+            if handler is None:
+                to_send = self._perform(operation, horizon)
+            else:
+                to_send = handler(operation, horizon)
             if to_send is _HORIZON:
                 self.nv.abort()
                 return False
@@ -285,7 +376,10 @@ class IntermittentExecutor:
     def _complete_task(self, task: Task, next_name: Optional[str]) -> bool:
         self.nv.commit()
         self.runtime.note_task_complete(task)
-        self.trace.bump(f"task_done:{task.name}")
+        counter = self._done_counters.get(task.name)
+        if counter is None:
+            counter = self._done_counters[task.name] = f"task_done:{task.name}"
+        self.trace.bump(counter)
         if self.telemetry.enabled:
             self.telemetry.inc("kernel.tasks_completed")
             self.telemetry.inc(f"kernel.tasks_completed.{task.name}")
@@ -297,52 +391,6 @@ class IntermittentExecutor:
             )
         self.nv.put(TASK_POINTER_KEY, target)
         return True
-
-    def _perform(self, operation, horizon: float):
-        """Execute one yielded operation; returns the value to send back
-        into the task generator, or the :data:`_POWER_FAILED` /
-        :data:`_HORIZON` sentinels."""
-        if isinstance(operation, Compute):
-            load = self.board.compute_load(operation.ops)
-            return self._load_outcome(self._run_load(load, horizon), None)
-        if isinstance(operation, Sample):
-            load = self.board.sense_load(operation.sensor, operation.samples)
-            outcome = self._run_load(load, horizon)
-            if outcome is not _DONE:
-                return outcome
-            reading = self.sensor_binding(operation.sensor, self.now)
-            self.trace.record_sample(
-                self.now, operation.sensor, reading.value, reading.event_id
-            )
-            return reading
-        if isinstance(operation, Transmit):
-            load = self.board.transmit_load(operation.size_bytes)
-            outcome = self._run_load(load, horizon)
-            if outcome is _POWER_FAILED:
-                self.trace.bump("tx_failures")
-                return outcome
-            if outcome is _HORIZON:
-                return outcome
-            delivered = True
-            radio = self.board.radio
-            if radio is not None and radio.loss_rate > 0.0:
-                delivered = self.rng.random() >= radio.loss_rate
-            if delivered:
-                self.trace.record_packet(
-                    self.now,
-                    operation.payload,
-                    operation.size_bytes,
-                    operation.event_id,
-                )
-            else:
-                self.trace.bump("packets_lost_rf")
-            return delivered
-        if isinstance(operation, Sleep):
-            load = self.board.sleep_load(operation.duration)
-            return self._load_outcome(self._run_load(load, horizon), None)
-        if isinstance(operation, WaitForInterrupt):
-            return self._perform_wait(operation, horizon)
-        raise TaskGraphError(f"task yielded unknown operation {operation!r}")
 
     def _perform_wait(self, operation: WaitForInterrupt, horizon: float):
         """Sleep until the interrupt line's next edge (or the timeout).
@@ -373,45 +421,39 @@ class IntermittentExecutor:
                 f"WaitForInterrupt({operation.line!r}) would sleep forever: "
                 "no interrupt edge remains and no timeout was given"
             )
-        duration = max(0.0, until - self.now)
-        load = LoadPoint(
-            duration,
+        outcome = self._run_load(
+            max(0.0, until - self.now),
             self.board.mcu.sleep_power + operation.sentinel_power,
+            horizon,
         )
-        outcome = self._run_load(load, horizon)
         if outcome is not _DONE:
             return outcome
         if edge is not None and edge <= until + 1e-12:
             # The edge (not the watchdog) ended the wait: consume it.
             self.nv.put(consumed_key, edge)
-        reading = self.sensor_binding(operation.line, self.now)
-        self.trace.record_sample(
-            self.now, operation.line, reading.value, reading.event_id
-        )
+        reading = self._read(operation.line)
         self.trace.bump("interrupt_wakes")
         return reading
-
-    @staticmethod
-    def _load_outcome(outcome, value):
-        return value if outcome is _DONE else outcome
 
     # ------------------------------------------------------------------
     # Energy plumbing
     # ------------------------------------------------------------------
 
-    def _run_load(self, load: LoadPoint, horizon: float):
-        """Drain *load* from the reservoir.
+    def _run_load(self, load_duration: float, power: float, horizon: float):
+        """Drain a *load_duration*-second load of *power* watts from the
+        reservoir.
 
         Returns :data:`_DONE` when the load ran to completion,
         :data:`_POWER_FAILED` on brownout, or :data:`_HORIZON` when the
         run horizon interrupted it (the partial drain is real; the
         operation's side effect is not).
         """
-        duration = min(load.duration, max(0.0, horizon - self.now))
-        truncated = duration < load.duration - _TIME_EPSILON
-        result = self.power_system.discharge(self.now, load.power, duration)
-        self.now += result.elapsed
-        self._record_voltage()
+        now = self.now
+        duration = min(load_duration, max(0.0, horizon - now))
+        truncated = duration < load_duration - _TIME_EPSILON
+        result = self.board.power_system.discharge(now, power, duration)
+        self.now = now + result.elapsed
+        self._record_voltage(result.voltage)
         if result.elapsed < duration - _TIME_EPSILON:
             # Browning out exactly at the end still counts as finishing.
             return _POWER_FAILED
@@ -482,8 +524,12 @@ class IntermittentExecutor:
         self.state = state
         self.trace.record_state(self.now, state.value, detail)
 
-    def _record_voltage(self) -> None:
-        voltage = self.power_system.reservoir.active_voltage(self.now)
+    def _record_voltage(self, voltage: Optional[float] = None) -> None:
+        """Trace the active-set voltage at ``now``; *voltage*, when the
+        caller already holds it validated (a discharge result), skips
+        the reservoir lookup."""
+        if voltage is None:
+            voltage = self.power_system.reservoir.active_voltage(self.now)
         last_time, last_voltage = self._last_voltage_record
         if (
             self.now - last_time < self.voltage_record_interval
