@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from repro.errors import ConfigurationError, PowerSystemError
 from repro.energy.booster import InputBooster, OutputBooster
@@ -39,7 +39,7 @@ class ChargeResult:
     energy_stored: float
 
 
-@dataclass(slots=True)
+@dataclass
 class DischargeResult:
     """Outcome of a :meth:`CapybaraPowerSystem.discharge` call.
 
@@ -52,12 +52,6 @@ class DischargeResult:
     browned_out: bool
     energy_delivered: float
     voltage: float = math.nan
-
-
-#: Bound on the discharge kernel's per-load memo; real workloads use a
-#: handful of (ESR, load) pairs, so reaching it means loads are being
-#: generated continuously and the memo restarts rather than grows.
-_LOAD_MEMO_LIMIT = 4096
 
 
 class CapybaraPowerSystem:
@@ -107,12 +101,6 @@ class CapybaraPowerSystem:
         #: potentiometer; ``None`` keeps the input booster's fixed
         #: regulation target.
         self.charge_target_source: Optional[Callable[[], float]] = None
-        # Per-operation constants of the discharge kernel, keyed on
-        # (active-set ESR, total load power): (discharge floor, booster
-        # input power).  Both are pure functions of the output booster,
-        # so the memo is dropped whenever the booster is replaced.
-        self._load_memo: Dict[Tuple[float, float], Tuple[float, float]] = {}
-        self._load_memo_booster: Optional[OutputBooster] = None
         # (harvester, limiter, limited point) for time-invariant
         # harvesters; see Harvester.time_invariant.
         self._harvest_memo: Optional[tuple] = None
@@ -335,8 +323,8 @@ class CapybaraPowerSystem:
         that is constant for the operation is resolved once: the active
         set (one validated lookup: the device is powered, so latches
         hold, and reconfiguration happens only between tasks), the
-        discharge floor and booster input power (memoised per ESR and
-        load), and the harvester operating point.  The charge target is
+        discharge floor (from the booster's memo) and booster input
+        power, and the harvester operating point.  The charge target is
         read only if a segment has surplus harvest.  Leakage over the
         whole span and the latch top-up follow the segment loop, and
         the active set is looked up again at the span's end, which
@@ -366,20 +354,8 @@ class CapybaraPowerSystem:
         c_active = view.capacitance
 
         booster = self.output_booster
-        memo = self._load_memo
-        if self._load_memo_booster is not booster:
-            memo.clear()
-            self._load_memo_booster = booster
-        constants = memo.get((esr, total_power))
-        if constants is None:
-            if len(memo) >= _LOAD_MEMO_LIMIT:
-                memo.clear()
-            constants = (
-                booster.min_bank_voltage(esr, total_power),
-                booster.input_power_for_load(total_power),
-            )
-            memo[(esr, total_power)] = constants
-        floor, p_in = constants
+        floor = booster.min_bank_voltage(esr, total_power)
+        p_in = booster.input_power_for_load(total_power)
         charge_power = self.input_booster.charge_power
         hv, hp = self.harvest_point(time)
         target = None

@@ -191,6 +191,17 @@ class OutputBooster:
             raise ConfigurationError("efficiency must be in (0, 1]")
         if self.quiescent_power < 0.0:
             raise ConfigurationError("quiescent_power must be non-negative")
+        # The discharge kernel looks the floor up in _min_bank_voltage's
+        # lru_cache once per operation, keyed on this booster; hash the
+        # (immutable) fields once instead of on every lookup.
+        object.__setattr__(
+            self,
+            "_hash",
+            hash((self.v_out, self.v_in_min, self.efficiency, self.quiescent_power)),
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def spec_dict(self) -> dict:
         """This converter as a plain dict (:mod:`repro.spec` booster schema)."""

@@ -206,10 +206,9 @@ class ReconfigurableReservoir:
             # and the faulted ESR is what every consumer should see.
             boundary = min(boundary, injector.next_transition(time))
             esr *= injector.esr_multiplier(time)
-        entry = ActiveSetView(banks, capacitance, esr)
-        entry.valid_from = time
-        entry.valid_until = boundary
-        entry.versions = versions
+        entry = ActiveSetView(
+            banks, names, capacitance, esr, time, boundary, versions
+        )
         self._active_cache = entry
         if injector is not None and len(banks) > 1:
             # A bank rejoining the set at a fault edge (stuck window
@@ -468,9 +467,9 @@ class ActiveSetView:
     :class:`CapacitorBank` objects, so the reservoir observes every
     joule moved through a view.
 
-    The reservoir's cache stamps each view with ``names`` (active bank
-    names), the validity window ``[valid_from, valid_until)`` and the
-    switch ``versions`` sum it was built under.
+    Each view also carries ``names`` (active bank names), the validity
+    window ``[valid_from, valid_until)`` and the switch ``versions`` sum
+    the reservoir's cache built it under.
     """
 
     __slots__ = (
@@ -486,9 +485,17 @@ class ActiveSetView:
     )
 
     def __init__(
-        self, banks: List[CapacitorBank], capacitance: float, esr: float
+        self,
+        banks: List[CapacitorBank],
+        names: List[str],
+        capacitance: float,
+        esr: float,
+        valid_from: float,
+        valid_until: float,
+        versions: int,
     ) -> None:
         self.banks = banks
+        self.names = names
         self.capacitance = capacitance
         self.esr = esr
         #: Lowest rated voltage over the set (the charge ceiling).
@@ -497,10 +504,9 @@ class ActiveSetView:
         )
         #: The bank itself when the set holds exactly one, else None.
         self.single = banks[0] if len(banks) == 1 else None
-        self.names = [bank.name for bank in banks]
-        self.valid_from = -math.inf
-        self.valid_until = math.inf
-        self.versions = 0
+        self.valid_from = valid_from
+        self.valid_until = valid_until
+        self.versions = versions
 
     @property
     def voltage(self) -> float:

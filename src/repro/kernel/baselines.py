@@ -64,7 +64,6 @@ class ContinuousExecutor(OperationHandlers):
         self.now = 0.0
         self.energy_consumed = 0.0
         self._irq_consumed = {}
-        self._init_handlers()
 
     def run(self, horizon: float) -> Trace:
         """Run until simulation time *horizon*; returns the trace."""
@@ -74,7 +73,6 @@ class ContinuousExecutor(OperationHandlers):
             )
         self.trace.record_state(self.now, "running", "continuous power")
         task_name = self.graph.entry
-        handlers = self._handlers
         done_counters = {}
         while self.now < horizon - _TIME_EPSILON:
             task = self.graph.task(task_name)
@@ -105,11 +103,7 @@ class ContinuousExecutor(OperationHandlers):
                         self.telemetry.inc(f"kernel.tasks_completed.{task.name}")
                     task_name = next_name
                     break
-                handler = handlers.get(type(operation))
-                if handler is None:
-                    to_send = self._perform(operation, horizon)
-                else:
-                    to_send = handler(operation, horizon)
+                to_send = self._perform(operation, horizon)
             if not completed:
                 self.nv.abort()
         return self.trace

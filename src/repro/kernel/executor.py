@@ -92,18 +92,26 @@ class OperationHandlers:
     A subclass supplies ``_run_load(duration, power, horizon)``, its
     energy step (returning :data:`_DONE`, :data:`_POWER_FAILED` or
     :data:`_HORIZON`), and ``_perform_wait``.  The task loop dispatches
-    each yielded operation with one lookup in the type-keyed handler
-    table built by :meth:`_init_handlers`.
+    each yielded operation with one lookup in the subclass's type-keyed
+    handler table.  The table lives on the class and holds plain
+    functions, not bound methods, so an executor is no reference cycle
+    and is freed as soon as its run's last reference goes.
     """
 
-    def _init_handlers(self) -> None:
-        #: Operation type -> bound handler (see :meth:`_perform`).
-        self._handlers = {
-            Compute: self._perform_compute,
-            Sample: self._perform_sample,
-            Transmit: self._perform_transmit,
-            Sleep: self._perform_sleep,
-            WaitForInterrupt: self._perform_wait,
+    #: Operation type -> name of the method that performs it.
+    _HANDLER_NAMES = {
+        Compute: "_perform_compute",
+        Sample: "_perform_sample",
+        Transmit: "_perform_transmit",
+        Sleep: "_perform_sleep",
+        WaitForInterrupt: "_perform_wait",
+    }
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        #: Operation type -> handler function (see :meth:`_perform`).
+        cls._handlers = {
+            kind: getattr(cls, name) for kind, name in cls._HANDLER_NAMES.items()
         }
 
     def _perform(self, operation, horizon: float):
@@ -112,13 +120,23 @@ class OperationHandlers:
         :data:`_HORIZON` sentinels.
 
         Dispatch is by exact type through ``_handlers``; a subclass of
-        an operation type resolves to its nearest registered base.
+        an operation type resolves to its nearest registered base, and
+        the resolution is stored so the next one is an exact hit.
         """
-        for cls in type(operation).__mro__:
-            handler = self._handlers.get(cls)
-            if handler is not None:
-                return handler(operation, horizon)
-        raise TaskGraphError(f"task yielded unknown operation {operation!r}")
+        kind = type(operation)
+        handlers = self._handlers
+        handler = handlers.get(kind)
+        if handler is None:
+            for cls in kind.__mro__[1:]:
+                handler = handlers.get(cls)
+                if handler is not None:
+                    handlers[kind] = handler
+                    break
+            else:
+                raise TaskGraphError(
+                    f"task yielded unknown operation {operation!r}"
+                )
+        return handler(self, operation, horizon)
 
     def _perform_compute(self, operation: Compute, horizon: float):
         load = self.board.compute_load(operation.ops)
@@ -213,7 +231,6 @@ class IntermittentExecutor(OperationHandlers):
         #: Minimum spacing of voltage trace records, seconds.  Keeps the
         #: trace at plot resolution instead of one record per operation.
         self.voltage_record_interval = 0.02
-        self._init_handlers()
         #: Task name -> its ``task_done:<name>`` trace counter.
         self._done_counters: Dict[str, str] = {}
 
@@ -343,7 +360,6 @@ class IntermittentExecutor(OperationHandlers):
         """
         context = TaskContext(self.nv, lambda: self.now)
         generator = task.body(context)
-        handlers = self._handlers
         to_send = None
         while True:
             if self.now >= horizon - _TIME_EPSILON:
@@ -353,11 +369,7 @@ class IntermittentExecutor(OperationHandlers):
                 operation = generator.send(to_send)
             except StopIteration as stop:
                 return self._complete_task(task, stop.value)
-            handler = handlers.get(type(operation))
-            if handler is None:
-                to_send = self._perform(operation, horizon)
-            else:
-                to_send = handler(operation, horizon)
+            to_send = self._perform(operation, horizon)
             if to_send is _HORIZON:
                 self.nv.abort()
                 return False

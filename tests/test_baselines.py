@@ -1,5 +1,8 @@
 """Continuous-power baseline executor."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core.builder import SystemKind, build_capybara_system
@@ -102,3 +105,15 @@ class TestContinuousExecution:
         executor = make_continuous(graph=graph)
         executor.run(1.0)
         assert executor.nv.get("seen") == 7
+
+
+def test_finished_executor_is_freed_without_the_cycle_collector():
+    executor = make_continuous()
+    executor.run(30.0)
+    ref = weakref.ref(executor)
+    gc.disable()
+    try:
+        del executor
+        assert ref() is None
+    finally:
+        gc.enable()

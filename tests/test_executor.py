@@ -1,6 +1,9 @@
 """Intermittent executor semantics: charge/boot/run cycles, power
 failures, task atomicity, and Capybara plan execution."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core.builder import SystemKind
@@ -198,3 +201,18 @@ class TestChargeAccounting:
         voltages = [v.voltage for v in executor.trace.voltages]
         assert max(voltages) > 2.0  # reached near the charge target
         assert min(voltages) < max(voltages)
+
+
+class TestLifetime:
+    def test_finished_executor_is_freed_without_the_cycle_collector(self):
+        # An executor holding bound methods of itself would stay alive
+        # (with its trace) until the next cyclic collection.
+        executor = build_executor()
+        executor.run(30.0)
+        ref = weakref.ref(executor)
+        gc.disable()
+        try:
+            del executor
+            assert ref() is None
+        finally:
+            gc.enable()
